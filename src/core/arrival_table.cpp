@@ -1,10 +1,12 @@
 #include "core/arrival_table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 
 namespace wiloc::core {
 
@@ -14,21 +16,48 @@ double wall_clock_s() {
       .count();
 }
 
+namespace {
+
+/// Appends `v` in the shortest form that std::from_chars reads back to
+/// the same double (non-finite -> null). `p` needs kMaxNum free bytes.
+constexpr std::size_t kMaxNum = 32;
+char* put_num(char* p, double v) {
+  if (!std::isfinite(v)) {
+    std::memcpy(p, "null", 4);
+    return p + 4;
+  }
+  return std::to_chars(p, p + kMaxNum, v).ptr;
+}
+
+char* put_text(char* p, std::string_view text) {
+  std::memcpy(p, text.data(), text.size());
+  return p + text.size();
+}
+
+}  // namespace
+
 std::string json_num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
+  char buf[kMaxNum];
+  return std::string(buf, put_num(buf, v));
 }
 
 std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
                                 SimTime now, SimTime arrival) {
-  std::ostringstream out;
-  out << "{\"trip\":" << trip.value() << ",\"stop\":" << stop
-      << ",\"now\":" << json_num(now)
-      << ",\"arrival_time\":" << json_num(arrival)
-      << ",\"eta_s\":" << json_num(arrival - now) << "}";
-  return out.str();
+  // Literals (~50 bytes) + two integers (<= 20 each) + three numbers.
+  char buf[96 + 3 * kMaxNum];
+  char* const end = buf + sizeof(buf);
+  char* p = put_text(buf, "{\"trip\":");
+  p = std::to_chars(p, end, trip.value()).ptr;
+  p = put_text(p, ",\"stop\":");
+  p = std::to_chars(p, end, stop).ptr;
+  p = put_text(p, ",\"now\":");
+  p = put_num(p, now);
+  p = put_text(p, ",\"arrival_time\":");
+  p = put_num(p, arrival);
+  p = put_text(p, ",\"eta_s\":");
+  p = put_num(p, arrival - now);
+  *p++ = '}';
+  return std::string(buf, p);
 }
 
 std::string encode_traffic_map_json(const TrafficMap& map) {
@@ -102,14 +131,10 @@ std::shared_ptr<const TripArrivals> ArrivalTable::compute(
   out->offset = offset;
   out->now = now;
   out->epoch = epoch;
-  const std::size_t stops = route.stop_count();
-  out->arrival.reserve(stops);
-  out->body.reserve(stops);
-  for (std::size_t s = 0; s < stops; ++s) {
-    const SimTime at = predictor_->predict_arrival(route, offset, now, s);
-    out->arrival.push_back(at);
-    out->body.push_back(encode_arrival_json(trip, s, now, at));
-  }
+  out->arrival = predictor_->predict_arrivals(route, offset, now);
+  out->body.reserve(out->arrival.size());
+  for (std::size_t s = 0; s < out->arrival.size(); ++s)
+    out->body.push_back(encode_arrival_json(trip, s, now, out->arrival[s]));
   return out;
 }
 

@@ -55,9 +55,11 @@ struct ArrivalTableParams {
 /// coalescing.
 double wall_clock_s();
 
-/// JSON number in the exact form the HTTP layer emits (%.12g,
-/// non-finite -> null). Shared so the materialized bodies and the
-/// slow-path encoders are byte-identical by construction.
+/// JSON number in the exact form the HTTP layer emits: the shortest
+/// text std::from_chars reads back to the same double (non-finite ->
+/// null), so a client that echoes a served number pins exactly that
+/// value. Shared so the materialized bodies and the slow-path encoders
+/// are byte-identical by construction.
 std::string json_num(double v);
 
 /// The /v1/arrival response body for one (trip, stop) answer.

@@ -65,22 +65,22 @@ std::optional<double> ArrivalPredictor::correction_from_recents(
     roadnet::EdgeId edge, std::optional<roadnet::RouteId> same_route_only,
     SimTime t) const {
   const DaySlots& slots = store_->slots();
-  const auto recents = store_->recent(edge, t, options_.recent_window_s,
-                                      options_.max_recent);
   double residual_sum = 0.0;
   std::size_t used = 0;
-  for (const TravelObservation& r : recents) {
-    if (same_route_only.has_value() && !(r.route == *same_route_only))
-      continue;
-    const std::size_t r_slot = slots.slot_of(r.exit_time);
-    std::optional<double> r_th =
-        store_->historical_mean(r.edge, r.route, r_slot);
-    if (!r_th.has_value())
-      r_th = store_->historical_mean_any_route(r.edge, r_slot);
-    if (!r_th.has_value()) continue;
-    residual_sum += r.travel_time - *r_th;
-    ++used;
-  }
+  store_->for_each_recent(
+      edge, t, options_.recent_window_s, options_.max_recent,
+      [&](const TravelObservation& r) {
+        if (same_route_only.has_value() && !(r.route == *same_route_only))
+          return;
+        const std::size_t r_slot = slots.slot_of(r.exit_time);
+        std::optional<double> r_th =
+            store_->historical_mean(r.edge, r.route, r_slot);
+        if (!r_th.has_value())
+          r_th = store_->historical_mean_any_route(r.edge, r_slot);
+        if (!r_th.has_value()) return;
+        residual_sum += r.travel_time - *r_th;
+        ++used;
+      });
   if (used == 0) return std::nullopt;
   // Shrink thin evidence toward zero: one noisy tracked bus should not
   // swing the estimate as much as a consistent platoon.
@@ -106,6 +106,41 @@ double ArrivalPredictor::segment_time_or_fallback(
          (edge.speed_limit() * options_.fallback_speed_frac);
 }
 
+double ArrivalPredictor::cross_edge(const roadnet::BusRoute& route,
+                                    std::size_t e, double from, double to,
+                                    SimTime t, double elapsed) const {
+  const double edge_begin = route.edge_start_offset(e);
+  const double edge_end = route.edge_end_offset(e);
+  const double edge_len = edge_end - edge_begin;
+  if (edge_len <= 0.0) return elapsed;
+  const double span_begin = std::max(from, edge_begin);
+  const double span_end = std::min(to, edge_end);
+  if (span_end <= span_begin) return elapsed;
+  // Eq. 9's dr(...)/dr(start, end) fraction terms, "separated
+  // slot-by-slot": when crossing this edge outlasts the current
+  // time-of-day slot, only the fraction coverable before the boundary
+  // is charged at this slot's rate; the remainder re-evaluates the
+  // edge under the next slot's statistics.
+  double frac_remaining = (span_end - span_begin) / edge_len;
+  const DaySlots& slots = store_->slots();
+  int depth = 0;
+  while (frac_remaining > 1e-12) {
+    const SimTime clock = t + elapsed;
+    const double full_time = segment_time_or_fallback(route, e, clock);
+    const double time_needed = frac_remaining * full_time;
+    const double to_boundary = slots.slot_end_time(clock) - clock;
+    // Depth cap: a degenerate store (near-zero segment times over
+    // many tiny slots) must not spin; finish at the current rate.
+    if (time_needed <= to_boundary || full_time <= 0.0 || ++depth > 64) {
+      elapsed += time_needed;
+      break;
+    }
+    frac_remaining -= to_boundary / full_time;
+    elapsed += to_boundary;
+  }
+  return elapsed;
+}
+
 double ArrivalPredictor::predict_travel_time(const roadnet::BusRoute& route,
                                              double from, double to,
                                              SimTime t) const {
@@ -114,41 +149,11 @@ double ArrivalPredictor::predict_travel_time(const roadnet::BusRoute& route,
   to = std::clamp(to, 0.0, route.length());
   if (to <= from) return 0.0;
 
-  const auto start = route.position_at(from);
-  const auto finish = route.position_at(to);
-
+  const std::size_t first = route.position_at(from).edge_index;
+  const std::size_t last = route.position_at(to).edge_index;
   double elapsed = 0.0;
-  for (std::size_t e = start.edge_index; e <= finish.edge_index; ++e) {
-    const double edge_begin = route.edge_start_offset(e);
-    const double edge_end = route.edge_end_offset(e);
-    const double edge_len = edge_end - edge_begin;
-    if (edge_len <= 0.0) continue;
-    const double span_begin = std::max(from, edge_begin);
-    const double span_end = std::min(to, edge_end);
-    if (span_end <= span_begin) continue;
-    // Eq. 9's dr(...)/dr(start, end) fraction terms, "separated
-    // slot-by-slot": when crossing this edge outlasts the current
-    // time-of-day slot, only the fraction coverable before the boundary
-    // is charged at this slot's rate; the remainder re-evaluates the
-    // edge under the next slot's statistics.
-    double frac_remaining = (span_end - span_begin) / edge_len;
-    const DaySlots& slots = store_->slots();
-    int depth = 0;
-    while (frac_remaining > 1e-12) {
-      const SimTime clock = t + elapsed;
-      const double full_time = segment_time_or_fallback(route, e, clock);
-      const double time_needed = frac_remaining * full_time;
-      const double to_boundary = slots.slot_end_time(clock) - clock;
-      // Depth cap: a degenerate store (near-zero segment times over
-      // many tiny slots) must not spin; finish at the current rate.
-      if (time_needed <= to_boundary || full_time <= 0.0 || ++depth > 64) {
-        elapsed += time_needed;
-        break;
-      }
-      frac_remaining -= to_boundary / full_time;
-      elapsed += to_boundary;
-    }
-  }
+  for (std::size_t e = first; e <= last; ++e)
+    elapsed = cross_edge(route, e, from, to, t, elapsed);
   return elapsed;
 }
 
@@ -158,6 +163,39 @@ SimTime ArrivalPredictor::predict_arrival(const roadnet::BusRoute& route,
   const double stop_offset = route.stop_offset(stop_index);
   if (stop_offset <= current_offset) return now;
   return now + predict_travel_time(route, current_offset, stop_offset, now);
+}
+
+std::vector<SimTime> ArrivalPredictor::predict_arrivals(
+    const roadnet::BusRoute& route, double current_offset,
+    SimTime now) const {
+  WILOC_EXPECTS(!std::isnan(current_offset));
+  const std::size_t stops = route.stop_count();
+  std::vector<SimTime> out(stops, now);
+  const double from = std::clamp(current_offset, 0.0, route.length());
+  const std::size_t first = route.position_at(from).edge_index;
+  // entry[k]: elapsed time on reaching the start of edge first + k. For
+  // every edge strictly before a stop's edge, predict_travel_time's span
+  // ends at the edge's end whatever the stop (position_at puts the stop
+  // at or after the start of its edge), so these full crossings are one
+  // shared prefix of the per-stop sums, carried in the same order.
+  std::vector<double> entry{0.0};
+  for (std::size_t s = 0; s < stops; ++s) {
+    const double stop_offset = route.stop_offset(s);
+    if (stop_offset <= current_offset) continue;  // behind the bus: now
+    const double to = std::clamp(stop_offset, 0.0, route.length());
+    double elapsed = 0.0;
+    if (to > from) {
+      const std::size_t last = route.position_at(to).edge_index;
+      while (first + entry.size() <= last) {
+        const std::size_t e = first + entry.size() - 1;
+        entry.push_back(cross_edge(route, e, from, route.edge_end_offset(e),
+                                   now, entry.back()));
+      }
+      elapsed = cross_edge(route, last, from, to, now, entry[last - first]);
+    }
+    out[s] = now + elapsed;
+  }
+  return out;
 }
 
 }  // namespace wiloc::core

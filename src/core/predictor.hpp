@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "core/travel_time.hpp"
 #include "util/obs.hpp"
@@ -82,6 +83,14 @@ class ArrivalPredictor {
                           double current_offset, SimTime now,
                           std::size_t stop_index) const;
 
+  /// Eq. 9 for every stop of the route at once: element s is
+  /// bit-identical to predict_arrival(route, current_offset, now, s),
+  /// but the route is walked once (O(edges + stops) segment estimates
+  /// instead of one walk per stop).
+  std::vector<SimTime> predict_arrivals(const roadnet::BusRoute& route,
+                                        double current_offset,
+                                        SimTime now) const;
+
   const PredictorOptions& options() const { return options_; }
   const TravelTimeStore& store() const { return *store_; }
 
@@ -91,6 +100,13 @@ class ArrivalPredictor {
   /// Segment time with the cold-start fallback applied.
   double segment_time_or_fallback(const roadnet::BusRoute& route,
                                   std::size_t edge_index, SimTime t) const;
+
+  /// Crosses the part of route edge `e` that lies in [from, to], entering
+  /// it at `t + elapsed`, and returns the elapsed time on leaving it (the
+  /// slot-by-slot split of Eq. 9). The one copy of that loop: every
+  /// travel-time and arrival query chains calls to it.
+  double cross_edge(const roadnet::BusRoute& route, std::size_t e,
+                    double from, double to, SimTime t, double elapsed) const;
 
   /// Shrunk (unclamped) mean residual of the recent traversals of `edge`,
   /// optionally restricted to one route. nullopt when none has a

@@ -405,7 +405,7 @@ void WiLocatorServer::publish_pending() const {
     reporter_->maybe_report(last_event_time_);
 }
 
-void WiLocatorServer::maybe_refresh_arrivals() const {
+void WiLocatorServer::maybe_refresh_arrivals(bool force) const {
   if (!has_event_ || !store_.finalized()) return;
   if (ingest_activity_ == refreshed_activity_ &&
       store_.epoch() == refreshed_epoch_ && !arrival_table_.dirty())
@@ -414,7 +414,8 @@ void WiLocatorServer::maybe_refresh_arrivals() const {
   // per window. Skipped work stays pending (the gate above still sees
   // stale counters) until a later publish or flush_arrivals().
   const double min_gap = arrival_table_.params().min_refresh_wall_s;
-  if (min_gap > 0.0 && wall_clock_s() - arrival_refresh_wall_ < min_gap)
+  if (!force && min_gap > 0.0 &&
+      wall_clock_s() - arrival_refresh_wall_ < min_gap)
     return;
   arrival_refresh_wall_ = wall_clock_s();
   refreshed_activity_ = ingest_activity_;
@@ -425,8 +426,7 @@ void WiLocatorServer::maybe_refresh_arrivals() const {
 }
 
 void WiLocatorServer::flush_arrivals() const {
-  arrival_refresh_wall_ = -1.0e300;
-  maybe_refresh_arrivals();
+  maybe_refresh_arrivals(/*force=*/true);
 }
 
 void WiLocatorServer::flush_trip(roadnet::TripId trip) {

@@ -331,7 +331,9 @@ class WiLocatorServer {
   void note_event(SimTime t) const;
   /// Refreshes the materialized arrival table when ingest activity or
   /// the store epoch moved since the last refresh (cheap no-op else).
-  void maybe_refresh_arrivals() const;
+  /// `force` skips the coalescing window but not the nothing-pending
+  /// check, so a no-op flush leaves the window as it was.
+  void maybe_refresh_arrivals(bool force = false) const;
 
   ServerConfig config_;
   std::unordered_map<roadnet::RouteId, RouteRuntime> routes_;

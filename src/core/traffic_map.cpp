@@ -46,35 +46,33 @@ SegmentTraffic TrafficMapBuilder::classify(roadnet::EdgeId edge,
   const auto res_mean = store_->residual_mean(edge, slot);
   const auto res_std = store_->residual_stddev(edge, slot);
 
-  const auto recents =
-      store_->recent(edge, now, params_.recent_window_s, params_.max_recent);
-  out.recent_count = recents.size();
-
   // Mean recent residual eps-hat (Eq. 4's estimator), from observed data
   // when available, else from the predictor's inference.
+  const bool have_stats =
+      res_mean.has_value() && res_std.has_value() && *res_std > 1e-9;
+  double sum = 0.0;
+  std::size_t used = 0;
+  store_->for_each_recent(
+      edge, now, params_.recent_window_s, params_.max_recent,
+      [&](const TravelObservation& r) {
+        ++out.recent_count;
+        if (!have_stats) return;
+        const std::size_t r_slot = store_->slots().slot_of(r.exit_time);
+        auto th = store_->historical_mean(r.edge, r.route, r_slot);
+        if (!th.has_value())
+          th = store_->historical_mean_any_route(r.edge, r_slot);
+        if (!th.has_value()) return;
+        sum += r.travel_time - *th;
+        ++used;
+      });
   double residual = 0.0;
   bool have_signal = false;
-  if (!recents.empty() && res_mean.has_value() && res_std.has_value() &&
-      *res_std > 1e-9) {
-    double sum = 0.0;
-    std::size_t used = 0;
-    for (const TravelObservation& r : recents) {
-      const std::size_t r_slot = store_->slots().slot_of(r.exit_time);
-      auto th = store_->historical_mean(r.edge, r.route, r_slot);
-      if (!th.has_value())
-        th = store_->historical_mean_any_route(r.edge, r_slot);
-      if (!th.has_value()) continue;
-      sum += r.travel_time - *th;
-      ++used;
-    }
-    if (used > 0) {
-      residual = sum / static_cast<double>(used);
-      have_signal = true;
-    }
+  if (used > 0) {
+    residual = sum / static_cast<double>(used);
+    have_signal = true;
   }
 
-  if (!have_signal && params_.infer_unknowns && res_mean.has_value() &&
-      res_std.has_value() && *res_std > 1e-9) {
+  if (!have_signal && params_.infer_unknowns && have_stats) {
     // No bus passed inside the map's (tighter) window: infer from the
     // predictor's temporal-consistency correction, which still sees
     // traversals over its own wider recency horizon. When the predictor
@@ -86,8 +84,7 @@ SegmentTraffic TrafficMapBuilder::classify(roadnet::EdgeId edge,
     out.inferred = true;
   }
 
-  if (!have_signal || !res_mean.has_value() || !res_std.has_value() ||
-      *res_std <= 1e-9) {
+  if (!have_signal || !have_stats) {
     out.state = TrafficState::Unknown;
     count_state(out);
     return out;

@@ -117,16 +117,9 @@ bool TravelTimeStore::add_recent(const TravelObservation& obs) {
 std::vector<TravelObservation> TravelTimeStore::recent(
     roadnet::EdgeId edge, SimTime now, double window_s,
     std::size_t max_count) const {
-  WILOC_EXPECTS(window_s >= 0.0);
   std::vector<TravelObservation> out;
-  const auto it = recent_.find(edge);
-  if (it == recent_.end()) return out;
-  for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
-    if (r->exit_time > now) continue;      // future data is invisible
-    if (now - r->exit_time > window_s) break;
-    out.push_back(*r);
-    if (out.size() >= max_count) break;
-  }
+  for_each_recent(edge, now, window_s, max_count,
+                  [&out](const TravelObservation& r) { out.push_back(r); });
   return out;
 }
 

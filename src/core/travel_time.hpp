@@ -19,6 +19,7 @@
 
 #include "roadnet/route.hpp"
 #include "util/binio.hpp"
+#include "util/contracts.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
@@ -91,6 +92,23 @@ class TravelTimeStore {
   std::vector<TravelObservation> recent(roadnet::EdgeId edge, SimTime now,
                                         double window_s,
                                         std::size_t max_count) const;
+
+  /// Calls `f(const TravelObservation&)` on exactly what recent() would
+  /// return, in the same order, without copying them out.
+  template <typename F>
+  void for_each_recent(roadnet::EdgeId edge, SimTime now, double window_s,
+                       std::size_t max_count, F&& f) const {
+    WILOC_EXPECTS(window_s >= 0.0);
+    const auto it = recent_.find(edge);
+    if (it == recent_.end()) return;
+    std::size_t visited = 0;
+    for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
+      if (r->exit_time > now) continue;  // future data is invisible
+      if (now - r->exit_time > window_s) break;
+      f(*r);
+      if (++visited >= max_count) break;
+    }
+  }
 
   /// Drops recents older than `now - window_s` (ring hygiene).
   void prune_recent(SimTime now, double window_s);

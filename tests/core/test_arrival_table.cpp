@@ -7,6 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -17,6 +22,7 @@
 #include "core/travel_time.hpp"
 #include "util/binio.hpp"
 #include "util/obs.hpp"
+#include "util/rng.hpp"
 
 namespace wiloc::core {
 namespace {
@@ -267,6 +273,51 @@ TEST(ArrivalTable, DisabledTableNeverPublishes) {
   f.offsets[1] = 300.0;
   off.refresh(at_day_time(3, hms(9)), f.position_fn());
   EXPECT_EQ(off.snapshot(), nullptr);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(JsonNum, ReadsBackToTheSameDouble) {
+  // Shortest round-trip text: a client that echoes a served number (the
+  // pinned-`now` read) hands back exactly the double that was served.
+  Rng rng(12);
+  std::vector<double> values{0.0,     -0.0,   1.0,    -1.0,   1728000.0,
+                             1e15,    1e16,   1e300,  -1e300, 1e-5,
+                             9.99e-6, 1e-300, 5e-324, 0.1,    1.0 / 3.0,
+                             std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::lowest()};
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(rng.uniform(-1e7, 1e7));                   // times
+    values.push_back(std::round(rng.uniform(-1e9, 1e9)));       // integers
+    values.push_back(rng.uniform(1e15, 1e18));                  // > 1e15
+    values.push_back(-rng.uniform(1e-9, 1e-5));                 // < 1e-5
+    const double any = std::bit_cast<double>(rng());             // any bits
+    if (std::isfinite(any)) values.push_back(any);
+  }
+  for (const double v : values) {
+    const std::string text = json_num(v);
+    double back = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), back);
+    ASSERT_EQ(ec, std::errc{}) << text;
+    ASSERT_EQ(ptr, text.data() + text.size()) << text;
+    ASSERT_EQ(bits(back), bits(v)) << text;
+  }
+  EXPECT_EQ(json_num(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_num(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_num(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+TEST(JsonNum, ArrivalBodyLayout) {
+  EXPECT_EQ(encode_arrival_json(TripId(4294967295u), 12, 1728000.5,
+                                1728060.25),
+            R"({"trip":4294967295,"stop":12,"now":1728000.5,)"
+            R"("arrival_time":1728060.25,"eta_s":59.75})");
+  EXPECT_EQ(encode_arrival_json(TripId(0), 0, 0.0,
+                                std::numeric_limits<double>::quiet_NaN()),
+            R"({"trip":0,"stop":0,"now":0,"arrival_time":null,)"
+            R"("eta_s":null})");
 }
 
 }  // namespace

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
+
+#include "util/obs.hpp"
+#include "util/rng.hpp"
 
 namespace wiloc::core {
 namespace {
@@ -266,6 +273,171 @@ TEST(ArrivalPredictor, WrappedNightSlotPricesThroughMidnight) {
       predictor.predict_travel_time(f.route(), 1000.0, 2000.0,
                                     at_day_time(20, hms(21, 58, 40.0))),
       80.0 + 0.2 * 200.0, 1e-6);
+}
+
+/// A 9-edge route with irregular lengths (one edge 0.5 m long), stops
+/// on edge boundaries and mid-edge, history in every slot of both the
+/// paper and a wrapped partition (one edge left cold), and live recents
+/// of two routes around every query time.
+struct IrregularRoute {
+  std::unique_ptr<roadnet::RoadNetwork> net =
+      std::make_unique<roadnet::RoadNetwork>();
+  std::unique_ptr<roadnet::BusRoute> route;
+  std::vector<double> boundaries{0.0};
+
+  IrregularRoute() {
+    Rng rng(2016);
+    std::vector<roadnet::EdgeId> edges;
+    auto prev = net->add_node({0, 0});
+    double x = 0.0;
+    for (int e = 0; e < 9; ++e) {
+      x += e == 5 ? 0.5 : rng.uniform(150.0, 900.0);
+      const auto next = net->add_node({x, 0});
+      edges.push_back(net->add_straight_edge(prev, next, 12.5));
+      prev = next;
+    }
+    for (const auto id : edges)
+      boundaries.push_back(boundaries.back() + net->edge(id).length());
+    const double b = boundaries.back();
+    std::vector<roadnet::Stop> stops{{"start", 0.0}};
+    for (const double at :
+         {boundaries[1] * 0.5, boundaries[2], boundaries[3] + 7.25,
+          boundaries[5], boundaries[6], boundaries[6] + 0.25,
+          (boundaries[7] + boundaries[8]) * 0.5, b - 1.0, b})
+      stops.push_back({"s", at});
+    route = std::make_unique<roadnet::BusRoute>(RouteId(0), "irregular",
+                                                *net, edges, stops);
+  }
+
+  /// Trained over `slots`; edge 3 has no history (speed fallback).
+  TravelTimeStore store(DaySlots slots, const std::vector<SimTime>& nows) {
+    TravelTimeStore out(std::move(slots));
+    Rng rng(7);
+    for (int day = 0; day < 4; ++day)
+      for (const double tod : {3.0, 4.0, 9.0, 12.0, 14.0, 18.5, 21.0, 23.0})
+        for (std::size_t e = 0; e < route->edges().size(); ++e) {
+          if (e == 3) continue;
+          const EdgeId edge = route->edges()[e];
+          const SimTime at = at_day_time(day, tod * 3600.0);
+          out.add_history({edge, RouteId(0), at, rng.uniform(20.0, 200.0)});
+          if (e % 2 == 0)
+            out.add_history({edge, RouteId(1), at, rng.uniform(20.0, 200.0)});
+        }
+    out.finalize_history();
+    for (const SimTime now : nows)
+      for (const EdgeId edge : route->edges())
+        for (int k = 0; k < 5; ++k)
+          out.add_recent({edge, RouteId(k % 2 == 0 ? 0 : 1),
+                          now - rng.uniform(0.0, 2400.0),
+                          rng.uniform(15.0, 300.0)});
+    return out;
+  }
+
+  /// Exact stop offsets, edge boundaries, their neighbours, offsets
+  /// outside [0, length] and uniform draws.
+  std::vector<double> offsets() const {
+    const double length = route->length();
+    std::vector<double> out{-250.0, -1e-9, length + 1e-9, length + 80.0};
+    for (std::size_t s = 0; s < route->stop_count(); ++s) {
+      const double at = route->stop_offset(s);
+      out.insert(out.end(), {at, std::nextafter(at, -1e9),
+                             std::nextafter(at, 1e9)});
+    }
+    for (const double at : boundaries)
+      out.insert(out.end(), {at, std::nextafter(at, -1e9)});
+    Rng rng(99);
+    for (int i = 0; i < 40; ++i)
+      out.push_back(rng.uniform(-100.0, length + 100.0));
+    return out;
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(ArrivalPredictor, OnePassArrivalsAreBitIdenticalToPerStopCalls) {
+  IrregularRoute r;
+  // Query times whose horizons straddle slot boundaries (08:00, 10:00,
+  // 18:00, 19:00 in the paper partition; 06:00 and 22:00 in the wrapped
+  // one) or run through midnight inside the wrapped night slot.
+  const std::vector<SimTime> paper_nows{
+      at_day_time(20, hms(7, 58)), at_day_time(20, hms(9, 57, 30.0)),
+      at_day_time(20, hms(12)), at_day_time(20, hms(17, 59)),
+      at_day_time(20, hms(18, 58, 45.0)), at_day_time(20, hms(23, 58))};
+  const std::vector<SimTime> wrapped_nows{
+      at_day_time(20, hms(21, 58)), at_day_time(20, hms(23, 57)),
+      at_day_time(21, hms(0, 1)), at_day_time(21, hms(5, 58, 30.0))};
+
+  PredictorOptions no_recent;
+  no_recent.use_recent = false;
+  PredictorOptions same_route;
+  same_route.cross_route = false;
+  std::size_t compared = 0;
+  for (const bool wrapped : {false, true}) {
+    const auto& nows = wrapped ? wrapped_nows : paper_nows;
+    const TravelTimeStore store = r.store(
+        wrapped ? DaySlots::from_boundaries_wrapped({hms(6), hms(22)})
+                : DaySlots::paper_five_slots(),
+        nows);
+    for (const PredictorOptions& options :
+         {PredictorOptions{}, no_recent, same_route}) {
+      const ArrivalPredictor predictor(store, options);
+      for (const SimTime now : nows)
+        for (const double offset : r.offsets()) {
+          const std::vector<SimTime> all =
+              predictor.predict_arrivals(*r.route, offset, now);
+          ASSERT_EQ(all.size(), r.route->stop_count());
+          for (std::size_t s = 0; s < all.size(); ++s) {
+            const SimTime one =
+                predictor.predict_arrival(*r.route, offset, now, s);
+            ASSERT_EQ(bits(all[s]), bits(one))
+                << "offset " << offset << " now " << now << " stop " << s
+                << " wrapped " << wrapped << ": " << all[s] << " vs " << one;
+            ++compared;
+          }
+        }
+    }
+  }
+  EXPECT_GT(compared, 10000u);
+}
+
+TEST(ArrivalPredictor, OnePassArrivalsEvaluateEachSegmentOnce) {
+  // predictor.predictions counts segment estimates: one walk over the
+  // three edges serves all three stops, plus one estimate for the part
+  // of edge 1 before the mid-edge stop (no slot boundary is crossed).
+  const PredictorFixture f;
+  ArrivalPredictor predictor(f.store);
+  obs::Counter predictions;
+  predictor.set_metrics({.predictions = &predictions});
+  const SimTime noon = at_day_time(20, hms(12));
+  const auto all = predictor.predict_arrivals(f.route(), 0.0, noon);
+  EXPECT_EQ(predictions.value(), 4u);
+  EXPECT_EQ(all[0], noon);
+  EXPECT_NEAR(all[1] - noon, 150.0, 1e-9);
+  EXPECT_NEAR(all[2] - noon, 300.0, 1e-9);
+}
+
+TEST(TravelTimeStore, ForEachRecentVisitsWhatRecentReturns) {
+  IrregularRoute r;
+  const std::vector<SimTime> nows{at_day_time(20, hms(9)),
+                                  at_day_time(20, hms(9, 20))};
+  const TravelTimeStore store = r.store(DaySlots::paper_five_slots(), nows);
+  std::size_t seen = 0;
+  for (const EdgeId edge : r.route->edges())
+    for (const SimTime now : {nows[0], nows[1], nows[1] + 3600.0})
+      for (const double window : {0.0, 300.0, 1800.0, 1e9})
+        for (const std::size_t max_count : {0, 1, 3, 8, 1000}) {
+          std::vector<TravelObservation> visited;
+          store.for_each_recent(
+              edge, now, window, max_count,
+              [&](const TravelObservation& o) { visited.push_back(o); });
+          EXPECT_EQ(visited, store.recent(edge, now, window, max_count));
+          seen += visited.size();
+        }
+  EXPECT_GT(seen, 100u);
+  std::size_t unknown = 0;
+  store.for_each_recent(EdgeId(999), nows[0], 1e9, 8,
+                        [&](const TravelObservation&) { ++unknown; });
+  EXPECT_EQ(unknown, 0u);
 }
 
 TEST(ArrivalPredictor, ValidatesOptions) {

@@ -7,7 +7,9 @@
 // regex).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,13 +59,14 @@ struct ReadPathFixture {
     server.finalize_history();
   }
 
-  std::vector<sim::ScanReport> live_reports(TripId id, double day_time) {
+  std::vector<sim::ScanReport> live_reports(TripId id, double day_time,
+                                            std::size_t r = 0) {
     Rng rng(77);
     const auto trip =
-        sim::simulate_trip(id, city.route_a(), city.profiles[0], traffic,
+        sim::simulate_trip(id, city.routes[r], city.profiles[r], traffic,
                            at_day_time(5, day_time), rng);
     const rf::Scanner scanner;
-    return sim::sense_trip(trip, city.route_a(), city.aps, city.model,
+    return sim::sense_trip(trip, city.routes[r], city.aps, city.model,
                            scanner, rng);
   }
 };
@@ -137,33 +140,71 @@ TEST(HttpReadPath, SnapshotServesRiderReadsWithoutLocks) {
   EXPECT_GE(snap.counter("arrival_cache.rebuilds"), 1u);
 }
 
+/// The text of the body's "now" field, exactly as served.
+std::string served_now_text(const std::string& body) {
+  const std::string key = "\"now\":";
+  const std::size_t at = body.find(key);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + key.size();
+  return body.substr(begin, body.find(',', begin) - begin);
+}
+
 TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {
+  // A rider that echoes the served `now` text back must get the
+  // materialized bytes again through the locked prediction chain: for
+  // every stop of every tracked trip, after every publish. json_num
+  // prints the shortest text that reads back to the same double, so the
+  // echoed value is exactly the one the snapshot was computed at.
   ReadPathFixture f;
   f.train();
   WiLocatorService service(f.server);
-  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
-                            .body = R"({"trip":5,"route":0})"})
-                .status,
-            200);
-  const auto reports = f.live_reports(TripId(5), hms(9));
-  post_scans(service, reports, 0, reports.size());
+  for (const char* trip : {R"({"trip":5,"route":0})", R"({"trip":6,"route":0})",
+                           R"({"trip":7,"route":1})"})
+    ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                              .body = trip})
+                  .status,
+              200);
+  auto reports = f.live_reports(TripId(5), hms(9));
+  for (const auto& more : {f.live_reports(TripId(6), hms(9, 7), 0),
+                           f.live_reports(TripId(7), hms(9, 3), 1)})
+    reports.insert(reports.end(), more.begin(), more.end());
+  std::stable_sort(reports.begin(), reports.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.scan.time < b.scan.time;
+                   });
 
-  const HttpResponse hit = service.handle(arrival_get("trip", "5", "3"));
-  ASSERT_EQ(hit.status, 200) << hit.body;
-  ASSERT_EQ(hit.headers.count("X-Cache"), 1u);
-  const auto doc = parse_json(hit.body);
-  ASSERT_TRUE(doc.has_value());
-  const auto now = doc->get_number("now");
-  ASSERT_TRUE(now.has_value());
-
-  // Pinning the snapshot's own `now` must reproduce the materialized
-  // bytes through the locked prediction chain — parity by construction.
-  HttpRequest pinned = arrival_get("trip", "5", "3");
-  pinned.query["now"] = core::json_num(*now);
-  const HttpResponse slow = service.handle(pinned);
-  ASSERT_EQ(slow.status, 200) << slow.body;
-  EXPECT_EQ(slow.headers.count("X-Cache"), 0u);
-  EXPECT_EQ(slow.body, hit.body);
+  std::size_t compared = 0;
+  std::size_t mismatched = 0;
+  std::set<std::uint64_t> epochs;
+  for (std::size_t i = 0; i < reports.size(); i += 2) {
+    post_scans(service, reports, i, std::min(i + 2, reports.size()));
+    const auto snap = f.server.arrival_snapshot();
+    if (snap == nullptr) continue;
+    epochs.insert(snap->epoch);
+    for (const auto& [trip, arrivals] : snap->trips) {
+      for (std::size_t stop = 0; stop < arrivals->body.size(); ++stop) {
+        const std::string trip_s = std::to_string(trip.value());
+        const std::string stop_s = std::to_string(stop);
+        const HttpResponse hit =
+            service.handle(arrival_get("trip", trip_s, stop_s));
+        ASSERT_EQ(hit.status, 200) << hit.body;
+        ASSERT_EQ(hit.headers.count("X-Cache"), 1u);
+        HttpRequest pinned = arrival_get("trip", trip_s, stop_s);
+        pinned.query["now"] = served_now_text(hit.body);
+        const HttpResponse slow = service.handle(pinned);
+        ASSERT_EQ(slow.status, 200) << slow.body;
+        EXPECT_EQ(slow.headers.count("X-Cache"), 0u);
+        ++compared;
+        if (slow.body != hit.body && ++mismatched <= 3)
+          ADD_FAILURE() << "snapshot " << hit.body << "\nslow path "
+                        << slow.body;
+      }
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << "of " << compared << " over "
+                            << reports.size() << " scans";
+  EXPECT_GE(epochs.size(), 10u) << reports.size() << " scans";
+  EXPECT_GE(compared, 300u);
   // A pinned `now` is a computation request, not a slow-path miss.
   EXPECT_EQ(f.server.metrics_snapshot().counter("http.read_slow_path"), 0u);
 }
@@ -264,6 +305,37 @@ TEST(HttpReadPath, CoalescedRefreshStaysPendingUntilFlushed) {
   EXPECT_GT(flushed->find(TripId(5))->offset, first->find(TripId(5))->offset);
   const auto end = f.server.metrics_snapshot();
   EXPECT_EQ(end.counter("arrival_cache.rebuilds"), 2u);
+}
+
+TEST(HttpReadPath, NoOpFlushKeepsCoalescingWindow) {
+  // A flush with nothing pending must not reopen the coalescing window:
+  // the next publish inside the window still waits for a real flush.
+  core::ServerConfig config;
+  config.arrival.min_refresh_wall_s = 10.0;
+  ReadPathFixture f(config);
+  f.train();
+  WiLocatorService service(f.server);
+  ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                            .body = R"({"trip":5,"route":0})"})
+                .status,
+            200);
+  const auto reports = f.live_reports(TripId(5), hms(9));
+  ASSERT_GT(reports.size(), 20u);
+
+  post_scans(service, reports, 0, reports.size() / 2);  // refreshes
+  const auto first = f.server.arrival_snapshot();
+  ASSERT_NE(first, nullptr);
+  f.server.flush_arrivals();  // nothing pending: a no-op
+  EXPECT_EQ(f.server.arrival_snapshot(), first);
+  post_scans(service, reports, reports.size() / 2, reports.size());
+  EXPECT_EQ(f.server.arrival_snapshot()->epoch, first->epoch);
+  EXPECT_EQ(f.server.metrics_snapshot().counter("arrival_cache.rebuilds"),
+            1u);
+
+  f.server.flush_arrivals();  // pending work: publishes at once
+  EXPECT_GT(f.server.arrival_snapshot()->epoch, first->epoch);
+  EXPECT_EQ(f.server.metrics_snapshot().counter("arrival_cache.rebuilds"),
+            2u);
 }
 
 TEST(HttpReadPath, LastGoodCacheIsLruBounded) {
