@@ -1,12 +1,14 @@
 #include "core/arrival_table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <string_view>
+
+#include "util/contracts.hpp"
 
 namespace wiloc::core {
 
@@ -60,24 +62,90 @@ std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
   return std::string(buf, p);
 }
 
+StopBodies encode_arrival_bodies(roadnet::TripId trip, SimTime now,
+                                 std::span<const SimTime> arrival,
+                                 std::string& scratch) {
+  // The `{"trip":T,"stop":` head and the `now` text are formatted once.
+  // A stop behind the bus (arrival bit-equal to a finite `now`) copies
+  // the `now` text and an `eta_s` of 0 instead of formatting two more
+  // numbers.
+  char head[32];
+  char* h = put_text(head, "{\"trip\":");
+  h = std::to_chars(h, head + sizeof(head), trip.value()).ptr;
+  h = put_text(h, ",\"stop\":");
+  const std::string_view head_text(head, static_cast<std::size_t>(h - head));
+
+  char mid[32 + kMaxNum];
+  char* m = put_text(mid, ",\"now\":");
+  char* const now_begin = m;
+  m = put_num(m, now);
+  const std::string_view now_text(now_begin,
+                                  static_cast<std::size_t>(m - now_begin));
+  m = put_text(m, ",\"arrival_time\":");
+  const std::string_view mid_text(mid, static_cast<std::size_t>(m - mid));
+
+  const bool shortcut = std::isfinite(now);
+  const auto now_bits = std::bit_cast<std::uint64_t>(now);
+  // Head, stop index (<= 20), mid, two numbers and `,"eta_s":}`.
+  const std::size_t per_stop =
+      head_text.size() + 20 + mid_text.size() + 2 * kMaxNum + 16;
+  if (scratch.size() < arrival.size() * per_stop)
+    scratch.resize(arrival.size() * per_stop);
+  char* const base = scratch.data();
+  char* const end = base + scratch.size();
+  std::vector<std::uint32_t> ends;
+  ends.reserve(arrival.size());
+  char* p = base;
+  for (std::size_t s = 0; s < arrival.size(); ++s) {
+    p = put_text(p, head_text);
+    p = std::to_chars(p, end, s).ptr;
+    p = put_text(p, mid_text);
+    if (shortcut && std::bit_cast<std::uint64_t>(arrival[s]) == now_bits) {
+      // now - now is +0 for every finite now, which prints as 0.
+      p = put_text(p, now_text);
+      p = put_text(p, ",\"eta_s\":0}");
+    } else {
+      p = put_num(p, arrival[s]);
+      p = put_text(p, ",\"eta_s\":");
+      p = put_num(p, arrival[s] - now);
+      *p++ = '}';
+    }
+    ends.push_back(static_cast<std::uint32_t>(p - base));
+  }
+  return StopBodies(std::string(base, p), std::move(ends));
+}
+
 std::string encode_traffic_map_json(const TrafficMap& map) {
   std::vector<std::pair<roadnet::EdgeId, SegmentTraffic>> segments(
       map.segments.begin(), map.segments.end());
   std::sort(segments.begin(), segments.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::ostringstream out;
-  out << "{\"t\":" << json_num(map.time) << ",\"segments\":[";
-  bool first = true;
-  for (const auto& [edge, seg] : segments) {
-    if (!first) out << ',';
-    first = false;
-    out << "{\"edge\":" << edge.value() << ",\"state\":\""
-        << to_string(seg.state) << "\",\"z\":" << json_num(seg.z_score)
-        << ",\"recent\":" << seg.recent_count
-        << ",\"inferred\":" << (seg.inferred ? "true" : "false") << "}";
+  // One segment: literals (~55 bytes), a state name (< 16), two
+  // integers (<= 20 each) and one number.
+  constexpr std::size_t kSegment = 112 + kMaxNum;
+  std::string out(16 + kMaxNum + segments.size() * kSegment, '\0');
+  char* const base = out.data();
+  char* const end = base + out.size();
+  char* p = put_text(base, "{\"t\":");
+  p = put_num(p, map.time);
+  p = put_text(p, ",\"segments\":[");
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const auto& [edge, seg] = segments[i];
+    if (i > 0) *p++ = ',';
+    p = put_text(p, "{\"edge\":");
+    p = std::to_chars(p, end, edge.value()).ptr;
+    p = put_text(p, ",\"state\":\"");
+    p = put_text(p, to_string(seg.state));
+    p = put_text(p, "\",\"z\":");
+    p = put_num(p, seg.z_score);
+    p = put_text(p, ",\"recent\":");
+    p = std::to_chars(p, end, seg.recent_count).ptr;
+    p = put_text(p, ",\"inferred\":");
+    p = put_text(p, seg.inferred ? "true}" : "false}");
   }
-  out << "]}";
-  return out.str();
+  p = put_text(p, "]}");
+  out.resize(static_cast<std::size_t>(p - base));
+  return out;
 }
 
 const TripArrivals* ArrivalSnapshot::find(roadnet::TripId trip) const {
@@ -87,8 +155,16 @@ const TripArrivals* ArrivalSnapshot::find(roadnet::TripId trip) const {
 
 const TripArrivals* ArrivalSnapshot::best(roadnet::RouteId route,
                                           std::size_t stop) const {
-  const auto it = route_best.find(route_stop_key(route, stop));
-  return it != route_best.end() ? it->second.get() : nullptr;
+  const auto it = route_best.find(route);
+  return it != route_best.end() && stop < it->second.size()
+             ? it->second[stop]
+             : nullptr;
+}
+
+bool ArrivalSnapshot::indexes(roadnet::RouteId route,
+                              std::size_t stop) const {
+  const auto it = route_best.find(route);
+  return it != route_best.end() && stop < it->second.size();
 }
 
 ArrivalTable::ArrivalTable(const TravelTimeStore& store,
@@ -124,17 +200,18 @@ bool ArrivalTable::remaining_changed(const roadnet::BusRoute& route,
 
 std::shared_ptr<const TripArrivals> ArrivalTable::compute(
     roadnet::TripId trip, const roadnet::BusRoute& route, double offset,
-    SimTime now, std::uint64_t epoch) const {
+    SimTime now, std::uint64_t epoch) {
   auto out = std::make_shared<TripArrivals>();
   out->trip = trip;
   out->route = route.id();
   out->offset = offset;
   out->now = now;
   out->epoch = epoch;
+  while (out->first_ahead < route.stop_count() &&
+         route.stop_offset(out->first_ahead) <= offset)
+    ++out->first_ahead;
   out->arrival = predictor_->predict_arrivals(route, offset, now);
-  out->body.reserve(out->arrival.size());
-  for (std::size_t s = 0; s < out->arrival.size(); ++s)
-    out->body.push_back(encode_arrival_json(trip, s, now, out->arrival[s]));
+  out->body = encode_arrival_bodies(trip, now, out->arrival, scratch_);
   return out;
 }
 
@@ -185,18 +262,20 @@ void ArrivalTable::publish(SimTime now, std::uint64_t epoch) {
   std::size_t entries = 0;
   for (const auto& [trip, t] : tracked_) {
     if (t.current == nullptr) continue;
+    const TripArrivals& mine = *t.current;
     snap->trips.emplace(trip, t.current);
-    entries += t.current->body.size();
-    for (std::size_t s = 0; s < t.current->arrival.size(); ++s) {
-      const std::uint64_t key =
-          ArrivalSnapshot::route_stop_key(t.current->route, s);
-      auto [it, inserted] = snap->route_best.emplace(key, t.current);
-      if (inserted) continue;
-      const SimTime mine = t.current->arrival[s];
-      const SimTime theirs = it->second->arrival[s];
-      if (mine < theirs ||
-          (mine == theirs && t.current->trip < it->second->trip))
-        it->second = t.current;
+    entries += mine.body.size();
+    // Only the stops still ahead of the bus: a trip that has passed a
+    // stop is never the next bus there, whatever `now` it carries.
+    std::vector<const TripArrivals*>& best = snap->route_best[mine.route];
+    if (best.empty()) best.resize(mine.arrival.size(), nullptr);
+    // One route id, one stop list: every trip of it has as many stops.
+    WILOC_EXPECTS(best.size() == mine.arrival.size());
+    for (std::size_t s = mine.first_ahead; s < mine.arrival.size(); ++s) {
+      const TripArrivals* theirs = best[s];
+      if (theirs == nullptr || mine.arrival[s] < theirs->arrival[s] ||
+          (mine.arrival[s] == theirs->arrival[s] && mine.trip < theirs->trip))
+        best[s] = &mine;
     }
   }
   published_.store(std::move(snap), std::memory_order_release);

@@ -25,7 +25,9 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -69,6 +71,36 @@ std::string encode_arrival_json(roadnet::TripId trip, std::size_t stop,
 /// The /v1/traffic-map response body (segments sorted by edge id).
 std::string encode_traffic_map_json(const TrafficMap& map);
 
+/// The pre-encoded /v1/arrival bodies of one trip, one per stop, held
+/// in one exact-size buffer with an end offset per stop: one allocation
+/// per trip instead of one per stop. A body is a view into the buffer,
+/// valid as long as this object.
+class StopBodies {
+ public:
+  StopBodies() = default;
+  StopBodies(std::string text, std::vector<std::uint32_t> ends)
+      : text_(std::move(text)), ends_(std::move(ends)) {}
+
+  std::size_t size() const { return ends_.size(); }
+  std::string_view operator[](std::size_t stop) const {
+    const std::uint32_t begin = stop == 0 ? 0 : ends_[stop - 1];
+    return std::string_view(text_).substr(begin, ends_[stop] - begin);
+  }
+  std::string_view back() const { return (*this)[size() - 1]; }
+
+ private:
+  std::string text_;
+  std::vector<std::uint32_t> ends_;
+};
+
+/// Every stop's /v1/arrival body for one trip: body[s] is byte-identical
+/// to encode_arrival_json(trip, s, now, arrival[s]). The shared head and
+/// the `now` text are formatted once per trip. `scratch` is an encode
+/// buffer, grown to fit and reusable across calls.
+StopBodies encode_arrival_bodies(roadnet::TripId trip, SimTime now,
+                                 std::span<const SimTime> arrival,
+                                 std::string& scratch);
+
 /// Immutable per-trip slice of the table: one answer per stop, both as
 /// the predicted arrival time and as pre-encoded response bytes.
 struct TripArrivals {
@@ -77,8 +109,11 @@ struct TripArrivals {
   double offset = 0.0;  ///< route offset the entries were computed at
   SimTime now = 0.0;    ///< the "now" baked into the bodies
   std::uint64_t epoch = 0;  ///< store epoch at computation (X-Epoch)
-  std::vector<SimTime> arrival;   ///< [stop] absolute arrival time
-  std::vector<std::string> body;  ///< [stop] pre-encoded JSON
+  /// First stop ahead of the bus (stop_offset > offset, the predictor's
+  /// rule); stops before it are behind and answer `now`.
+  std::size_t first_ahead = 0;
+  std::vector<SimTime> arrival;  ///< [stop] absolute arrival time
+  StopBodies body;               ///< [stop] pre-encoded JSON
 };
 
 /// One published generation of the read path: everything a rider GET
@@ -90,20 +125,20 @@ struct ArrivalSnapshot {
 
   std::unordered_map<roadnet::TripId, std::shared_ptr<const TripArrivals>>
       trips;
-  /// Best (soonest-arrival) trip per (route, stop) — the rider-facing
-  /// route-level query without the O(active-trips) rescan.
-  std::unordered_map<std::uint64_t, std::shared_ptr<const TripArrivals>>
+  /// Per route, per stop: the soonest-arrival trip among those still
+  /// short of the stop (null when none is) — the rider-facing
+  /// route-level query without the O(active-trips) rescan. The pointers
+  /// borrow from `trips`, so they live exactly as long as the snapshot.
+  std::unordered_map<roadnet::RouteId, std::vector<const TripArrivals*>>
       route_best;
   /// Pre-encoded /v1/traffic-map body (empty before the first build).
   std::string traffic_body;
 
-  static std::uint64_t route_stop_key(roadnet::RouteId route,
-                                      std::size_t stop) {
-    return (static_cast<std::uint64_t>(route.value()) << 32) |
-           static_cast<std::uint64_t>(stop);
-  }
   const TripArrivals* find(roadnet::TripId trip) const;
   const TripArrivals* best(roadnet::RouteId route, std::size_t stop) const;
+  /// True when `route` has a trip in this snapshot and `stop` is one of
+  /// its stops: a null best() there means every trip has passed it.
+  bool indexes(roadnet::RouteId route, std::size_t stop) const;
 };
 
 /// Obs handles for the materialization side; all-null by default.
@@ -168,7 +203,7 @@ class ArrivalTable {
   std::shared_ptr<const TripArrivals> compute(roadnet::TripId trip,
                                               const roadnet::BusRoute& route,
                                               double offset, SimTime now,
-                                              std::uint64_t epoch) const;
+                                              std::uint64_t epoch);
   void publish(SimTime now, std::uint64_t epoch);
 
   const TravelTimeStore* store_;
@@ -180,6 +215,7 @@ class ArrivalTable {
   std::unordered_map<roadnet::TripId, Tracked> tracked_;
   std::vector<roadnet::EdgeId> traffic_edges_;
   std::string traffic_body_;
+  std::string scratch_;  ///< compute()'s encode buffer, grown, never shrunk
   std::uint64_t traffic_epoch_ = 0;  ///< store epoch of traffic_body_
   bool dirty_ = false;
 

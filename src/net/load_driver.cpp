@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/arrival_table.hpp"  // json_num
 #include "net/http_client.hpp"
 #include "net/json.hpp"
 #include "util/contracts.hpp"
@@ -24,7 +25,11 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
   return sorted[i];
 }
 
+/// A number as POSTed: core::json_num's shortest round-trip text for a
+/// finite value; a non-finite one (the fault-injected RSSI of the noisy
+/// streams) keeps printf's `nan`/`inf` text.
 std::string fmt(double v) {
+  if (std::isfinite(v)) return core::json_num(v);
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
   return buf;

@@ -101,7 +101,10 @@ class HttpLoadDriver {
   LoadDriverOptions options_;
 };
 
-/// Renders one POST /v1/scans body for a slice of submissions.
+/// Renders one POST /v1/scans body for a slice of submissions. Finite
+/// numbers use core::json_num's shortest round-trip text, so
+/// decode_scan_batch reads every scan time back bit-exactly; non-finite
+/// ones print as `nan`/`inf`/`-inf`.
 std::string encode_scan_batch(std::span<const core::ScanSubmission> batch);
 
 /// Inverse of encode_scan_batch: parses a POST /v1/scans body.

@@ -28,6 +28,11 @@ HttpResponse error_json(int status, std::string_view message) {
   return HttpResponse::json(status, out.str());
 }
 
+/// The route-level 404: every trip on the route with a fix has passed
+/// the stop, or none has a fix. Shared by the snapshot and slow paths.
+constexpr std::string_view kNoTripShortOfStop =
+    "no active trip short of this stop on this route";
+
 HttpResponse method_not_allowed(std::string_view allow) {
   HttpResponse r = error_json(405, "method not allowed");
   r.headers["Allow"] = std::string(allow);
@@ -269,20 +274,24 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
     if (!arrival.has_value()) return error_json(404, "no position fix yet");
   } else {
     // Route-level query (the rider-facing form): the soonest predicted
-    // arrival at the stop among the route's active trips.
+    // arrival at the stop among the route's active trips still short of
+    // it (the predictor's rule: ahead means stop_offset > offset), ties
+    // to the lower trip id, as the materialized route-best index does.
     const roadnet::RouteId route(static_cast<std::uint32_t>(*route_num));
-    server_.route(route);  // throws NotFound on unknown route
+    const roadnet::BusRoute& route_ref = server_.route(route);  // NotFound
     for (const auto& [candidate, candidate_route] : trips_) {
       if (candidate_route != route) continue;
       const auto eta = server_.eta(candidate, stop, now);
-      if (!eta.has_value() || *eta < now) continue;
-      if (!arrival.has_value() || *eta < *arrival) {
+      if (!eta.has_value() ||
+          route_ref.stop_offset(stop) <= *server_.position(candidate))
+        continue;
+      if (!arrival.has_value() || *eta < *arrival ||
+          (*eta == *arrival && candidate < trip)) {
         arrival = eta;
         trip = candidate;
       }
     }
-    if (!arrival.has_value())
-      return error_json(404, "no active trip with a fix on this route");
+    if (!arrival.has_value()) return error_json(404, kNoTripShortOfStop);
   }
 
   lock.unlock();
@@ -293,13 +302,12 @@ HttpResponse WiLocatorService::handle_arrival(const HttpRequest& request) {
   return HttpResponse::json(200, body);
 }
 
-HttpResponse WiLocatorService::snapshot_reply(const std::string& body,
+HttpResponse WiLocatorService::snapshot_reply(HttpResponse r,
                                               std::uint64_t epoch,
                                               double built_wall_s) {
   if (cache_hits_ != nullptr) cache_hits_->inc();
   if (snapshot_age_ != nullptr)
     snapshot_age_->set(std::max(0.0, wall_s() - built_wall_s));
-  HttpResponse r = HttpResponse::json(200, body);
   r.headers["X-Cache"] = "hit";
   r.headers["X-Epoch"] = std::to_string(epoch);
   return r;
@@ -314,18 +322,25 @@ std::optional<HttpResponse> WiLocatorService::arrival_from_snapshot(
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;
   }
-  const core::TripArrivals* ta =
-      trip_num.has_value()
-          ? snap->find(roadnet::TripId(static_cast<std::uint32_t>(*trip_num)))
-          : snap->best(
-                roadnet::RouteId(static_cast<std::uint32_t>(*route_num)),
-                stop);
+  const core::TripArrivals* ta = nullptr;
+  if (trip_num.has_value()) {
+    ta = snap->find(roadnet::TripId(static_cast<std::uint32_t>(*trip_num)));
+  } else {
+    const roadnet::RouteId route(static_cast<std::uint32_t>(*route_num));
+    ta = snap->best(route, stop);
+    // The route is indexed but no trip is short of the stop: the
+    // snapshot's answer is the 404, with no need for the lock.
+    if (ta == nullptr && snap->indexes(route, stop))
+      return snapshot_reply(error_json(404, kNoTripShortOfStop), snap->epoch,
+                            snap->built_wall_s);
+  }
   if (ta == nullptr || stop >= ta->body.size()) {
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;  // slow path decides 404/400
   }
   if (arrivals_served_ != nullptr) arrivals_served_->inc();
-  return snapshot_reply(ta->body[stop], ta->epoch, snap->built_wall_s);
+  return snapshot_reply(HttpResponse::json(200, std::string(ta->body[stop])),
+                        ta->epoch, snap->built_wall_s);
 }
 
 std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
@@ -336,8 +351,8 @@ std::optional<HttpResponse> WiLocatorService::traffic_from_snapshot(
     if (cache_misses_ != nullptr) cache_misses_->inc();
     return std::nullopt;
   }
-  return snapshot_reply(snap->traffic_body, snap->epoch,
-                        snap->built_wall_s);
+  return snapshot_reply(HttpResponse::json(200, snap->traffic_body),
+                        snap->epoch, snap->built_wall_s);
 }
 
 HttpResponse WiLocatorService::handle_position(const HttpRequest& request) {

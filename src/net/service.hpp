@@ -50,6 +50,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -203,8 +204,9 @@ class WiLocatorService {
       std::optional<double> trip_num, std::optional<double> route_num,
       std::size_t stop, bool pinned_now);
   std::optional<HttpResponse> traffic_from_snapshot(bool pinned_now);
-  /// Stamps the zero-lock response headers + hit metrics.
-  HttpResponse snapshot_reply(const std::string& body, std::uint64_t epoch,
+  /// Stamps the zero-lock response headers + hit metrics on a reply
+  /// answered from the snapshot.
+  HttpResponse snapshot_reply(HttpResponse r, std::uint64_t epoch,
                               double built_wall_s);
 
   /// A read handler's lock attempt: acquired within the degraded-read

@@ -14,7 +14,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "../helpers.hpp"
 #include "core/predictor.hpp"
@@ -76,6 +79,8 @@ TEST(TravelTimeEpochs, PerEdgeBumpsAndWholeStoreFloors) {
   EXPECT_GT(other.edge_epoch(EdgeId(99)), other_before);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 /// Deterministic learned state over the MiniCity routes: constant
 /// per-edge travel times across every slot, so predictions are stable
 /// until the test injects fresh evidence.
@@ -114,22 +119,46 @@ struct TableFixture {
 };
 
 TEST(ArrivalTable, MaterializedBodiesMatchThePredictorChain) {
+  // Route A, and a 21-stop route over the same edges (same learned
+  // cells) with a trip id near the top of its range: multi-digit stop
+  // indices, stops behind the bus (the copy-the-now shortcut, including
+  // a bus standing on stop 10) and stops ahead, all in one buffer.
   TableFixture f;
-  const SimTime now = at_day_time(3, hms(9));
-  f.table->track(TripId(1), &f.city.route_a());
-  f.offsets[1] = 300.0;
+  const auto& a = f.city.route_a();
+  std::vector<roadnet::Stop> stops;
+  for (int i = 0; i <= 20; ++i)
+    stops.push_back({"s" + std::to_string(i), 100.0 * i});
+  const roadnet::BusRoute dense(roadnet::RouteId(99), "dense", a.network(),
+                                a.edges(), stops);
+  struct Case {
+    TripId trip;
+    const roadnet::BusRoute* route;
+    double offset;
+    std::size_t first_ahead;
+  };
+  const Case cases[] = {{TripId(1), &a, 300.0, 1},
+                        {TripId(4294967290u), &dense, 1000.0, 11}};
+  const SimTime now = at_day_time(3, hms(9)) + 0.123456789;
+  for (const Case& c : cases) {
+    f.table->track(c.trip, c.route);
+    f.offsets[c.trip.value()] = c.offset;
+  }
   f.table->refresh(now, f.position_fn());
 
   const auto snap = f.table->snapshot();
   ASSERT_NE(snap, nullptr);
-  const TripArrivals* a = snap->find(TripId(1));
-  ASSERT_NE(a, nullptr);
-  ASSERT_EQ(a->body.size(), f.city.route_a().stop_count());
-  for (std::size_t s = 0; s < f.city.route_a().stop_count(); ++s) {
-    const SimTime expect =
-        f.predictor->predict_arrival(f.city.route_a(), 300.0, now, s);
-    EXPECT_EQ(a->arrival[s], expect);
-    EXPECT_EQ(a->body[s], encode_arrival_json(TripId(1), s, now, expect));
+  for (const Case& c : cases) {
+    const TripArrivals* t = snap->find(c.trip);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->first_ahead, c.first_ahead);
+    ASSERT_EQ(t->body.size(), c.route->stop_count());
+    for (std::size_t s = 0; s < c.route->stop_count(); ++s) {
+      const SimTime expect =
+          f.predictor->predict_arrival(*c.route, c.offset, now, s);
+      EXPECT_EQ(bits(t->arrival[s]), bits(expect)) << "stop " << s;
+      EXPECT_EQ(t->body[s], encode_arrival_json(c.trip, s, now, expect))
+          << "stop " << s;
+    }
   }
   // The traffic body matches a direct build at the same instant.
   EXPECT_EQ(snap->traffic_body,
@@ -231,6 +260,171 @@ TEST(ArrivalTable, RouteBestIndexServesTheSoonestTrip) {
   EXPECT_EQ(next->trip, TripId(1));
 }
 
+TEST(ArrivalTable, RouteBestSkipsTripsPastTheStop) {
+  // The next bus at a stop is one still short of it. A trip past the
+  // stop carries arrival == now there, which must not win the
+  // route-level query; a trip parked at the route end (old fix, old
+  // baked-in now) must not become the answer for every stop.
+  TableFixture f;
+  const auto& route_a = f.city.route_a();  // stops at 0, 700, 1400, 2000
+  const SimTime now = at_day_time(3, hms(9));
+  f.table->track(TripId(1), &route_a);
+  f.table->track(TripId(2), &route_a);
+  f.offsets[1] = 900.0;  // past stop 1
+  f.offsets[2] = 300.0;  // short of stop 1
+  f.table->refresh(now, f.position_fn());
+
+  auto snap = f.table->snapshot();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->find(TripId(1))->arrival[1], now);  // behind: answers now
+  const TripArrivals* at1 = snap->best(route_a.id(), 1);
+  ASSERT_NE(at1, nullptr);
+  EXPECT_EQ(at1->trip, TripId(2));
+  // Both trips are short of stop 2; trip 1 is nearer and arrives first.
+  ASSERT_NE(snap->best(route_a.id(), 2), nullptr);
+  EXPECT_EQ(snap->best(route_a.id(), 2)->trip, TripId(1));
+  // Both trips are past stop 0: no next bus there, and the snapshot
+  // knows it (the route is indexed up to its last stop).
+  EXPECT_EQ(snap->best(route_a.id(), 0), nullptr);
+  EXPECT_TRUE(snap->indexes(route_a.id(), 0));
+  // Past the last stop index: nothing, not an out-of-range read.
+  EXPECT_EQ(snap->best(route_a.id(), route_a.stop_count()), nullptr);
+  EXPECT_FALSE(snap->indexes(route_a.id(), route_a.stop_count()));
+  EXPECT_FALSE(snap->indexes(f.city.route_b().id(), 0));
+
+  // The origin: a bus standing at the first stop (offset 0) has left
+  // it by the same rule, so no trip is ever the next bus at stop 0.
+  f.offsets[2] = 0.0;
+  f.table->refresh(now, f.position_fn());
+  snap = f.table->snapshot();
+  EXPECT_EQ(snap->find(TripId(2))->first_ahead, 1u);
+  EXPECT_EQ(snap->best(route_a.id(), 0), nullptr);
+  ASSERT_NE(snap->best(route_a.id(), 1), nullptr);
+  EXPECT_EQ(snap->best(route_a.id(), 1)->trip, TripId(2));
+
+  // A bus exactly at a stop is not short of it (stop_offset > offset is
+  // the predictor's rule), so it is not the next bus there either.
+  f.offsets[2] = 700.0;
+  f.table->refresh(now, f.position_fn());
+  EXPECT_EQ(f.table->snapshot()->best(route_a.id(), 1), nullptr);
+
+  // Parked at the route end: behind every stop, the best for none.
+  f.table->drop(TripId(2));
+  f.offsets[1] = route_a.length();
+  f.table->refresh(now, f.position_fn());
+  snap = f.table->snapshot();
+  ASSERT_NE(snap->find(TripId(1)), nullptr);
+  for (std::size_t s = 0; s < route_a.stop_count(); ++s)
+    EXPECT_EQ(snap->best(route_a.id(), s), nullptr) << "stop " << s;
+}
+
+TEST(ArrivalTable, OldSnapshotKeepsItsBestPointersAlive) {
+  // route_best holds raw pointers that borrow from the snapshot's own
+  // `trips`. A reader holding an old generation must be able to follow
+  // them after the table has recomputed, dropped and republished (run
+  // under ASan in CI: a dangling pointer is a use-after-free there).
+  TableFixture f;
+  const auto& route_a = f.city.route_a();
+  SimTime now = at_day_time(3, hms(9));
+  f.table->track(TripId(1), &route_a);
+  f.table->track(TripId(2), &route_a);
+  f.offsets[1] = 300.0;
+  f.offsets[2] = 1500.0;
+  f.table->refresh(now, f.position_fn());
+  const auto old = f.table->snapshot();
+  const std::size_t last = route_a.stop_count() - 1;
+  const TripArrivals* best = old->best(route_a.id(), last);
+  ASSERT_NE(best, nullptr);
+  const std::string body(best->body[last]);
+  const SimTime arrival = best->arrival[last];
+
+  for (int i = 0; i < 5; ++i) {
+    now += 30.0;
+    f.offsets[1] = 350.0 + 40.0 * i;
+    f.offsets[2] = 1550.0 + 40.0 * i;
+    f.store.add_recent({route_a.edges()[4], route_a.id(), now, 150.0 + i});
+    f.table->refresh(now, f.position_fn());
+  }
+  f.table->drop(TripId(2));
+  f.table->drop(TripId(1));
+  f.table->refresh(now, f.position_fn());
+  EXPECT_EQ(f.table->snapshot()->best(route_a.id(), last), nullptr);
+
+  // The old generation still answers exactly what it answered before.
+  const TripArrivals* again = old->best(route_a.id(), last);
+  ASSERT_EQ(again, best);
+  EXPECT_EQ(again->trip, TripId(2));
+  EXPECT_EQ(again->body[last], body);
+  EXPECT_EQ(again->arrival[last], arrival);
+  for (std::size_t s = 0; s < route_a.stop_count(); ++s) {
+    if (const TripArrivals* b = old->best(route_a.id(), s); b != nullptr) {
+      EXPECT_EQ(b, old->find(b->trip));
+    }
+  }
+}
+
+TEST(ArrivalTable, FlatBodiesAreByteIdenticalToEncodeArrivalJson) {
+  // Direct encoder parity over the values the table never produces:
+  // non-finite and signed-zero `now`, NaN and infinite arrivals, and
+  // arrivals equal to `now` in value but not in bits.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> nows{0.0, -0.0, 1728000.5, 464412.345678912, -3.5};
+  nows.insert(nows.end(), {1e300, inf, -inf, nan});
+  Rng rng(13);
+  std::string scratch;
+  for (const double now : nows) {
+    std::vector<SimTime> arrival;
+    for (int s = 0; s < 20; ++s) {
+      arrival.push_back(now);  // behind the bus
+      arrival.push_back(now + rng.uniform(0.0, 3600.0));
+      arrival.push_back(now == 0.0 ? -now : now * 2.0);  // -0 against +0
+      arrival.push_back(s % 2 == 0 ? nan : inf);
+      arrival.push_back(std::bit_cast<double>(rng()));
+      arrival.push_back(std::nextafter(now, inf));
+    }
+    for (const TripId trip : {TripId(0), TripId(7), TripId(4294967295u)}) {
+      const StopBodies b = encode_arrival_bodies(trip, now, arrival, scratch);
+      ASSERT_EQ(b.size(), arrival.size());
+      for (std::size_t s = 0; s < arrival.size(); ++s)
+        ASSERT_EQ(b[s], encode_arrival_json(trip, s, now, arrival[s]))
+            << "now " << now << " stop " << s;
+    }
+  }
+  // A shorter trip after a longer one reuses the grown scratch buffer.
+  const std::vector<SimTime> two{5.0, 9.5};
+  const StopBodies small = encode_arrival_bodies(TripId(3), 5.0, two, scratch);
+  ASSERT_EQ(small.size(), 2u);
+  EXPECT_EQ(small[0], encode_arrival_json(TripId(3), 0, 5.0, 5.0));
+  EXPECT_TRUE(small[0].ends_with(R"("arrival_time":5,"eta_s":0})"));
+  EXPECT_EQ(small.back(), encode_arrival_json(TripId(3), 1, 5.0, 9.5));
+  EXPECT_EQ(encode_arrival_bodies(TripId(3), 5.0, {}, scratch).size(), 0u);
+}
+
+TEST(ArrivalTable, TrafficBodyMatchesGolden) {
+  // The served traffic-map bytes: segments sorted by edge id, json_num
+  // numbers (non-finite -> null), the full range of the recent count.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t many = std::numeric_limits<std::size_t>::max();
+  TrafficMap map;
+  map.time = 1728000.5;
+  map.segments[EdgeId(12)] = {TrafficState::VerySlow, 0.1 + 0.2, 3, false};
+  map.segments[EdgeId(3)] = {TrafficState::Normal, -0.125, 0, true};
+  map.segments[EdgeId(7)] = {TrafficState::Unknown, 0.0, many, false};
+  map.segments[EdgeId(4294967295u)] = {TrafficState::Slow, nan, 42, false};
+  const std::string golden =
+      R"({"t":1728000.5,"segments":[)"
+      R"({"edge":3,"state":"normal","z":-0.125,"recent":0,"inferred":true},)"
+      R"({"edge":7,"state":"unknown","z":0,"recent":18446744073709551615,)"
+      R"("inferred":false},)"
+      R"({"edge":12,"state":"very-slow","z":0.30000000000000004,"recent":3,)"
+      R"("inferred":false},)"
+      R"({"edge":4294967295,"state":"slow","z":null,"recent":42,)"
+      R"("inferred":false}]})";
+  EXPECT_EQ(encode_traffic_map_json(map), golden);
+  EXPECT_EQ(encode_traffic_map_json(TrafficMap{}), R"({"t":0,"segments":[]})");
+}
+
 TEST(ArrivalTable, WrappedSlotCoversCrossMidnightInvalidation) {
   // Quiet hours [22:00 .. 06:00) form one cyclic slot: evidence landing
   // just after midnight must invalidate entries computed just before it
@@ -274,8 +468,6 @@ TEST(ArrivalTable, DisabledTableNeverPublishes) {
   off.refresh(at_day_time(3, hms(9)), f.position_fn());
   EXPECT_EQ(off.snapshot(), nullptr);
 }
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(JsonNum, ReadsBackToTheSameDouble) {
   // Shortest round-trip text: a client that echoes a served number (the

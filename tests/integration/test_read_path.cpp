@@ -209,6 +209,81 @@ TEST(HttpReadPath, PinnedNowSlowPathMatchesSnapshotBytes) {
   EXPECT_EQ(f.server.metrics_snapshot().counter("http.read_slow_path"), 0u);
 }
 
+TEST(HttpReadPath, RouteLevelNextBusIsShortOfTheStop) {
+  // GET /v1/arrival?route=R&stop=S names the next bus to reach S: a
+  // trip already past S answers eta 0 for it and must not win, on the
+  // snapshot path and on the pinned-now slow path alike; with no trip
+  // short of S both paths answer 404.
+  ReadPathFixture f;
+  f.train();
+  WiLocatorService service(f.server);
+  for (const char* id : {"5", "6"}) {
+    const std::string body = std::string(R"({"route":0,"trip":)") + id + "}";
+    ASSERT_EQ(service.handle({.method = "POST", .path = "/v1/trips",
+                              .body = body})
+                  .status,
+              200);
+  }
+  // Route A's stops sit at 0, 700, 1400 and 2000 m. Trip 5 goes past
+  // stop 1; trip 6, seven minutes behind, stays short of it.
+  const auto ahead = f.live_reports(TripId(5), hms(9));
+  const auto behind = f.live_reports(TripId(6), hms(9, 7));
+  const auto offset = [&](std::uint32_t trip) {
+    return f.server.position(TripId(trip)).value_or(-1.0);
+  };
+  for (std::size_t i = 0; i < ahead.size() && offset(5) < 900.0; ++i)
+    post_scans(service, ahead, i, i + 1);
+  for (std::size_t i = 0; i < behind.size() && offset(6) < 100.0; ++i)
+    post_scans(service, behind, i, i + 1);
+  ASSERT_GT(offset(5), 700.0);
+  ASSERT_LT(offset(5), 1400.0);
+  ASSERT_GT(offset(6), 0.0);
+  ASSERT_LT(offset(6), 700.0);
+
+  // Trip 5 itself still answers for the stop it passed: eta 0.
+  const HttpResponse passed = service.handle(arrival_get("trip", "5", "1"));
+  ASSERT_EQ(passed.status, 200) << passed.body;
+  EXPECT_EQ(parse_json(passed.body)->get_number("eta_s").value_or(-1), 0.0);
+
+  const HttpResponse hit = service.handle(arrival_get("route", "0", "1"));
+  ASSERT_EQ(hit.status, 200) << hit.body;
+  EXPECT_EQ(hit.headers.count("X-Cache"), 1u);
+  EXPECT_EQ(parse_json(hit.body)->get_number("trip").value_or(-1), 6.0)
+      << hit.body;
+  EXPECT_GT(parse_json(hit.body)->get_number("eta_s").value_or(-1), 0.0);
+  HttpRequest pinned = arrival_get("route", "0", "1");
+  pinned.query["now"] = served_now_text(hit.body);
+  const HttpResponse slow = service.handle(pinned);
+  ASSERT_EQ(slow.status, 200) << slow.body;
+  EXPECT_EQ(slow.headers.count("X-Cache"), 0u);
+  EXPECT_EQ(slow.body, hit.body);
+
+  // Stop 2 is ahead of both; trip 5 is nearer and arrives first.
+  const HttpResponse next = service.handle(arrival_get("route", "0", "2"));
+  ASSERT_EQ(next.status, 200) << next.body;
+  EXPECT_EQ(parse_json(next.body)->get_number("trip").value_or(-1), 5.0);
+
+  // Both trips are past stop 0: no next bus, on either path. The
+  // snapshot answers that 404 itself, without the lock.
+  const auto slow_reads = [&] {
+    return f.server.metrics_snapshot().counter("http.read_slow_path");
+  };
+  const std::uint64_t slow_before = slow_reads();
+  const HttpResponse none = service.handle(arrival_get("route", "0", "0"));
+  EXPECT_EQ(none.status, 404) << none.body;
+  EXPECT_EQ(none.headers.count("X-Cache"), 1u);
+  EXPECT_EQ(slow_reads(), slow_before);
+  HttpRequest none_pinned = arrival_get("route", "0", "0");
+  none_pinned.query["now"] = served_now_text(hit.body);
+  const HttpResponse none_slow = service.handle(none_pinned);
+  EXPECT_EQ(none_slow.status, 404);
+  EXPECT_EQ(none_slow.body, none.body);
+  // A stop past the route's last one is no snapshot answer: the slow
+  // path decides (a bad stop).
+  EXPECT_EQ(service.handle(arrival_get("route", "0", "9")).status, 400);
+  EXPECT_EQ(slow_reads(), slow_before + 1);
+}
+
 TEST(HttpReadPath, EpochAdvancesWithRemainingSegmentEvidence) {
   ReadPathFixture f;
   f.train();

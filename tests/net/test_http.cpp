@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "net/json.hpp"
+#include "net/load_driver.hpp"
+#include "util/rng.hpp"
 
 namespace wiloc::net {
 namespace {
@@ -161,6 +168,49 @@ TEST(Json, RejectsMalformedInput) {
   // Nesting bomb bounces off the depth cap instead of the stack.
   std::string bomb(100, '[');
   EXPECT_FALSE(parse_json(bomb).has_value());
+}
+
+TEST(ScanBatchCodec, RoundTripsScanTimesBitExactly) {
+  // A scan POSTed through the load driver must be ingested at the very
+  // instant the same scan would be fed in-process: encode_scan_batch
+  // prints times in json_num's shortest round-trip form.
+  Rng rng(21);
+  std::vector<double> times{464412.345678912, 0.0, -0.0, 0.1 + 0.2, 1e-9};
+  times.push_back(1728000.0 + 1.0 / 3.0);
+  for (int i = 0; i < 500; ++i) times.push_back(rng.uniform(0.0, 2e6));
+  std::vector<core::ScanSubmission> batch;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    rf::WifiScan scan;
+    scan.time = times[i];
+    scan.readings.push_back({rf::ApId(static_cast<std::uint32_t>(i)), -40.0});
+    scan.readings.push_back({rf::ApId(3), -67.0});
+    const roadnet::TripId trip(static_cast<std::uint32_t>(i % 9));
+    batch.push_back({trip, std::move(scan)});
+  }
+  const std::string body = encode_scan_batch(batch);
+  std::string error;
+  const auto back = decode_scan_batch(body, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  ASSERT_EQ(back->size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>((*back)[i].scan.time),
+              std::bit_cast<std::uint64_t>(batch[i].scan.time))
+        << "scan " << i << " t=" << batch[i].scan.time;
+    EXPECT_EQ((*back)[i].trip, batch[i].trip);
+    ASSERT_EQ((*back)[i].scan.readings.size(), 2u);
+    EXPECT_EQ((*back)[i].scan.readings[0].rssi_dbm, -40.0);
+  }
+  // Integer dBm readings keep their plain integer text.
+  EXPECT_EQ(encode_scan_batch(std::span(batch).first(1)),
+            R"({"scans":[{"trip":0,"t":464412.345678912,)"
+            R"("readings":[[0,-40],[3,-67]]}]})");
+  // Non-finite readings (fault-injected streams) keep printf's text.
+  using limits = std::numeric_limits<double>;
+  batch[0].scan.readings[0].rssi_dbm = -limits::infinity();
+  batch[0].scan.readings[1].rssi_dbm = limits::quiet_NaN();
+  EXPECT_EQ(encode_scan_batch(std::span(batch).first(1)),
+            R"({"scans":[{"trip":0,"t":464412.345678912,)"
+            R"("readings":[[0,-inf],[3,nan]]}]})");
 }
 
 TEST(Json, QuoteEscapes) {
