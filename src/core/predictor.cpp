@@ -33,12 +33,8 @@ ArrivalPredictor::ArrivalPredictor(const TravelTimeStore& store,
 
 std::optional<double> ArrivalPredictor::predict_segment_time(
     roadnet::EdgeId edge, roadnet::RouteId route, SimTime t) const {
-  const std::size_t slot = store_->slots().slot_of(t);
-
-  // Th(i, j, l), falling back to the cross-route mean for this slot when
-  // this particular route has no history here.
-  std::optional<double> th = store_->historical_mean(edge, route, slot);
-  if (!th.has_value()) th = store_->historical_mean_any_route(edge, slot);
+  const std::optional<double> th =
+      store_->baseline(edge, route, store_->slots().slot_of(t));
   if (!th.has_value()) return std::nullopt;
 
   double prediction = *th;
@@ -64,21 +60,15 @@ std::optional<double> ArrivalPredictor::predict_segment_time(
 std::optional<double> ArrivalPredictor::correction_from_recents(
     roadnet::EdgeId edge, std::optional<roadnet::RouteId> same_route_only,
     SimTime t) const {
-  const DaySlots& slots = store_->slots();
   double residual_sum = 0.0;
   std::size_t used = 0;
   store_->for_each_recent(
       edge, t, options_.recent_window_s, options_.max_recent,
-      [&](const TravelObservation& r) {
+      [&](const TravelObservation& r, double residual) {
         if (same_route_only.has_value() && !(r.route == *same_route_only))
           return;
-        const std::size_t r_slot = slots.slot_of(r.exit_time);
-        std::optional<double> r_th =
-            store_->historical_mean(r.edge, r.route, r_slot);
-        if (!r_th.has_value())
-          r_th = store_->historical_mean_any_route(r.edge, r_slot);
-        if (!r_th.has_value()) return;
-        residual_sum += r.travel_time - *r_th;
+        if (std::isnan(residual)) return;  // no historical baseline
+        residual_sum += residual;
         ++used;
       });
   if (used == 0) return std::nullopt;

@@ -1,5 +1,7 @@
 #include "core/traffic_map.hpp"
 
+#include <cmath>
+
 #include "util/contracts.hpp"
 
 namespace wiloc::core {
@@ -54,15 +56,10 @@ SegmentTraffic TrafficMapBuilder::classify(roadnet::EdgeId edge,
   std::size_t used = 0;
   store_->for_each_recent(
       edge, now, params_.recent_window_s, params_.max_recent,
-      [&](const TravelObservation& r) {
+      [&](const TravelObservation&, double r_residual) {
         ++out.recent_count;
-        if (!have_stats) return;
-        const std::size_t r_slot = store_->slots().slot_of(r.exit_time);
-        auto th = store_->historical_mean(r.edge, r.route, r_slot);
-        if (!th.has_value())
-          th = store_->historical_mean_any_route(r.edge, r_slot);
-        if (!th.has_value()) return;
-        sum += r.travel_time - *th;
+        if (!have_stats || std::isnan(r_residual)) return;
+        sum += r_residual;
         ++used;
       });
   double residual = 0.0;

@@ -1,6 +1,7 @@
 #include "core/travel_time.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/contracts.hpp"
 #include "util/hashing.hpp"
@@ -35,6 +36,10 @@ void TravelTimeStore::add_history(const TravelObservation& obs) {
   history_[cell_key(obs.edge, obs.route, slot)].add(obs.travel_time);
   edge_slot_[edge_slot_key(obs.edge, slot)].add(obs.travel_time);
   raw_history_.push_back(obs);
+  // The edge's baselines moved: residuals of traversals already recorded
+  // on it (recents that arrived before their history) follow.
+  if (const auto it = recent_.find(obs.edge); it != recent_.end())
+    resolve_residuals(it->second);
   bump_edge(obs.edge);
 }
 
@@ -69,6 +74,26 @@ std::optional<double> TravelTimeStore::historical_mean_any_route(
   return it->second.mean();
 }
 
+std::optional<double> TravelTimeStore::baseline(roadnet::EdgeId edge,
+                                                roadnet::RouteId route,
+                                                std::size_t slot) const {
+  if (const auto th = historical_mean(edge, route, slot); th.has_value())
+    return th;
+  return historical_mean_any_route(edge, slot);
+}
+
+double TravelTimeStore::residual_of(const TravelObservation& obs) const {
+  const auto th =
+      baseline(obs.edge, obs.route, slots_.slot_of(obs.exit_time));
+  return th.has_value() ? obs.travel_time - *th
+                        : std::numeric_limits<double>::quiet_NaN();
+}
+
+void TravelTimeStore::resolve_residuals(
+    std::deque<RecentTraversal>& ring) const {
+  for (RecentTraversal& r : ring) r.residual = residual_of(r.obs);
+}
+
 std::optional<double> TravelTimeStore::residual_mean(roadnet::EdgeId edge,
                                                      std::size_t slot) const {
   const auto it = residuals_.find(edge_slot_key(edge, slot));
@@ -98,16 +123,16 @@ bool TravelTimeStore::add_recent(const TravelObservation& obs) {
   // Keep the ring ordered by exit time (observations arrive in order in
   // practice; tolerate slight disorder by insertion).
   auto it = ring.end();
-  while (it != ring.begin() && (it - 1)->exit_time > obs.exit_time) --it;
+  while (it != ring.begin() && (it - 1)->obs.exit_time > obs.exit_time) --it;
   // Entries sharing this exit time sit immediately before the insertion
   // point; an exact duplicate among them means this traversal is already
   // recorded (journal replay, re-fed stream) and must not count twice.
   for (auto dup = it; dup != ring.begin() &&
-                      (dup - 1)->exit_time == obs.exit_time;
+                      (dup - 1)->obs.exit_time == obs.exit_time;
        --dup) {
-    if (*(dup - 1) == obs) return false;
+    if ((dup - 1)->obs == obs) return false;
   }
-  ring.insert(it, obs);
+  ring.insert(it, {obs, residual_of(obs)});
   constexpr std::size_t kMaxRing = 1024;
   if (ring.size() > kMaxRing) ring.pop_front();
   bump_edge(obs.edge);
@@ -118,15 +143,16 @@ std::vector<TravelObservation> TravelTimeStore::recent(
     roadnet::EdgeId edge, SimTime now, double window_s,
     std::size_t max_count) const {
   std::vector<TravelObservation> out;
-  for_each_recent(edge, now, window_s, max_count,
-                  [&out](const TravelObservation& r) { out.push_back(r); });
+  for_each_recent(
+      edge, now, window_s, max_count,
+      [&out](const TravelObservation& r, double) { out.push_back(r); });
   return out;
 }
 
 void TravelTimeStore::prune_recent(SimTime now, double window_s) {
   for (auto& [edge, ring] : recent_) {
     bool dropped = false;
-    while (!ring.empty() && now - ring.front().exit_time > window_s) {
+    while (!ring.empty() && now - ring.front().obs.exit_time > window_s) {
       ring.pop_front();
       dropped = true;
     }
@@ -199,7 +225,7 @@ void TravelTimeStore::save(BinWriter& w) const {
   for (const auto& [edge, ring] : recent_) {
     w.put_u32(edge.value());
     w.put_u64(ring.size());
-    for (const TravelObservation& obs : ring) encode_observation(w, obs);
+    for (const RecentTraversal& r : ring) encode_observation(w, r.obs);
   }
 }
 
@@ -247,7 +273,7 @@ void TravelTimeStore::restore(BinReader& r) {
     auto& ring = recent[edge];
     const std::uint64_t n = r.get_u64();
     for (std::uint64_t k = 0; k < n; ++k)
-      ring.push_back(decode_observation(r));
+      ring.push_back({decode_observation(r), 0.0});
   }
 
   // Everything decoded without throwing: commit atomically.
@@ -258,6 +284,9 @@ void TravelTimeStore::restore(BinReader& r) {
   residuals_ = std::move(residuals);
   raw_history_ = std::move(raw);
   recent_ = std::move(recent);
+  // Residuals are not persisted: resolve them against the history just
+  // restored.
+  for (auto& [edge, ring] : recent_) resolve_residuals(ring);
   // Epochs are process-local: the restored state replaces everything, so
   // every edge is "changed" relative to any epoch handed out before.
   edge_epoch_.clear();

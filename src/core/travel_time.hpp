@@ -9,7 +9,8 @@
 //
 // The store also keeps per-(segment, slot) residual statistics
 // (Tr - Th), which the traffic-map classifier standardizes into z-scores
-// (Section V-B3).
+// (Section V-B3), and each recent traversal's own Eq.-5 residual, resolved
+// once when the traversal is recorded.
 #pragma once
 
 #include <deque>
@@ -67,6 +68,14 @@ class TravelTimeStore {
   std::optional<double> historical_mean_any_route(roadnet::EdgeId edge,
                                                   std::size_t slot) const;
 
+  /// The Eq.-8 baseline: Th(i, j, l), else the cross-route mean for the
+  /// slot when this route has no history on the edge, else nullopt. The
+  /// one statement of that fallback, for a prediction and for the
+  /// residual of every recent traversal alike.
+  std::optional<double> baseline(roadnet::EdgeId edge,
+                                 roadnet::RouteId route,
+                                 std::size_t slot) const;
+
   /// Residual (Tr - Th) mean / stddev per (edge, slot). Requires
   /// finalize_history(). nullopt when fewer than 2 residuals exist.
   std::optional<double> residual_mean(roadnet::EdgeId edge,
@@ -93,8 +102,11 @@ class TravelTimeStore {
                                         double window_s,
                                         std::size_t max_count) const;
 
-  /// Calls `f(const TravelObservation&)` on exactly what recent() would
-  /// return, in the same order, without copying them out.
+  /// Calls `f(const TravelObservation&, double residual)` on exactly
+  /// what recent() would return, in the same order, without copying them
+  /// out. `residual` is the traversal's Eq.-5 residual Tr - Th against
+  /// baseline() in the slot it exited in, resolved when it was recorded;
+  /// NaN when it has no baseline.
   template <typename F>
   void for_each_recent(roadnet::EdgeId edge, SimTime now, double window_s,
                        std::size_t max_count, F&& f) const {
@@ -102,11 +114,12 @@ class TravelTimeStore {
     const auto it = recent_.find(edge);
     if (it == recent_.end()) return;
     std::size_t visited = 0;
-    for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
-      if (r->exit_time > now) continue;  // future data is invisible
-      if (now - r->exit_time > window_s) break;
-      f(*r);
-      if (++visited >= max_count) break;
+    for (auto r = it->second.rbegin();
+         r != it->second.rend() && visited < max_count; ++r) {
+      if (r->obs.exit_time > now) continue;  // future data is invisible
+      if (now - r->obs.exit_time > window_s) break;
+      f(r->obs, r->residual);
+      ++visited;
     }
   }
 
@@ -172,7 +185,21 @@ class TravelTimeStore {
   std::unordered_map<std::uint64_t, RunningStats> edge_slot_; // across routes
   std::vector<TravelObservation> raw_history_;
   std::unordered_map<std::uint64_t, RunningStats> residuals_; // per edge+slot
-  std::unordered_map<roadnet::EdgeId, std::deque<TravelObservation>> recent_;
+
+  /// A recorded traversal with its Eq.-5 residual (NaN: no baseline).
+  /// The residual is derived from the history, so it is resolved when the
+  /// traversal is recorded, again whenever that history changes
+  /// (add_history on the edge, restore), and never persisted.
+  struct RecentTraversal {
+    TravelObservation obs;
+    double residual;
+  };
+  std::unordered_map<roadnet::EdgeId, std::deque<RecentTraversal>> recent_;
+
+  /// Tr - Th of `obs` against baseline(); NaN when it has none.
+  double residual_of(const TravelObservation& obs) const;
+  /// Re-resolves every residual of one ring after its history changed.
+  void resolve_residuals(std::deque<RecentTraversal>& ring) const;
 
   /// Marks `edge` changed at a fresh epoch (see edge_epoch()).
   void bump_edge(roadnet::EdgeId edge);

@@ -179,14 +179,42 @@ struct Parser {
       *out = JsonValue::make_object(std::move(members));
       return true;
     }
-    // Number.
+    // Number. std::from_chars also reads inf, nan, a leading '.' and
+    // leading zeros, so the token must match RFC 8259's grammar first.
+    const std::size_t start = pos;
+    if (!scan_number()) return fail("bad number");
     double value = 0.0;
-    const char* begin = text.data() + pos;
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, value);
-    if (ec != std::errc{} || ptr == begin) return fail("bad number");
-    pos += static_cast<std::size_t>(ptr - begin);
+    const char* begin = text.data() + start;
+    const char* end = text.data() + pos;
+    if (std::from_chars(begin, end, value).ec != std::errc{})
+      return fail("bad number");  // out of double's range
     *out = JsonValue::make_number(value);
+    return true;
+  }
+
+  /// Advances over `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`;
+  /// false when the text at `pos` does not start with that.
+  bool scan_number() {
+    const auto digits = [this] {
+      const std::size_t from = pos;
+      while (!at_end() && peek() >= '0' && peek() <= '9') ++pos;
+      return pos > from;
+    };
+    if (!at_end() && peek() == '-') ++pos;
+    if (!at_end() && peek() == '0') {
+      ++pos;
+    } else if (!digits()) {
+      return false;
+    }
+    if (!at_end() && peek() == '.') {
+      ++pos;
+      if (!digits()) return false;
+    }
+    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
+      ++pos;
+      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
+      if (!digits()) return false;
+    }
     return true;
   }
 };

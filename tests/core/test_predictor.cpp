@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "util/obs.hpp"
@@ -416,6 +418,135 @@ TEST(ArrivalPredictor, OnePassArrivalsEvaluateEachSegmentOnce) {
   EXPECT_NEAR(all[2] - noon, 300.0, 1e-9);
 }
 
+/// Eq. 8 as it reads in the paper, every recent's Th looked up at query
+/// time: the reference the store's resolved residuals must reproduce bit
+/// for bit (same doubles, added in the same order).
+std::optional<double> reference_segment_time(const TravelTimeStore& store,
+                                             const PredictorOptions& o,
+                                             EdgeId edge, RouteId route,
+                                             SimTime t) {
+  const DaySlots& slots = store.slots();
+  const auto th_of = [&](EdgeId e, RouteId r, std::size_t slot) {
+    auto th = store.historical_mean(e, r, slot);
+    if (!th.has_value()) th = store.historical_mean_any_route(e, slot);
+    return th;
+  };
+  const auto th = th_of(edge, route, slots.slot_of(t));
+  if (!th.has_value()) return std::nullopt;
+  double prediction = *th;
+  if (o.use_recent) {
+    double sum = 0.0;
+    std::size_t used = 0;
+    for (const TravelObservation& r :
+         store.recent(edge, t, o.recent_window_s, o.max_recent)) {
+      if (!o.cross_route && !(r.route == route)) continue;
+      const auto r_th = th_of(r.edge, r.route, slots.slot_of(r.exit_time));
+      if (!r_th.has_value()) continue;
+      sum += r.travel_time - *r_th;
+      ++used;
+    }
+    if (used > 0) {
+      const double n = static_cast<double>(used);
+      const double raw = (sum / n) * (n / (n + o.correction_shrinkage));
+      const double clamp = o.correction_clamp_frac * *th;
+      prediction += std::clamp(raw, -clamp, clamp);
+    }
+  }
+  return std::max(prediction, o.min_segment_time_s);
+}
+
+/// Eq. 9 for one stop over reference_segment_time: the per-edge,
+/// slot-by-slot walk with the speed-limit fallback for cold edges.
+SimTime reference_arrival(const TravelTimeStore& store,
+                          const PredictorOptions& o,
+                          const roadnet::BusRoute& route, double offset,
+                          SimTime now, std::size_t stop) {
+  const double stop_offset = route.stop_offset(stop);
+  if (stop_offset <= offset) return now;
+  const double from = std::clamp(offset, 0.0, route.length());
+  const double to = std::clamp(stop_offset, 0.0, route.length());
+  if (to <= from) return now;
+  double elapsed = 0.0;
+  for (std::size_t e = route.position_at(from).edge_index;
+       e <= route.position_at(to).edge_index; ++e) {
+    const double begin = route.edge_start_offset(e);
+    const double edge_len = route.edge_end_offset(e) - begin;
+    if (edge_len <= 0.0) continue;
+    const double span_begin = std::max(from, begin);
+    const double span_end = std::min(to, route.edge_end_offset(e));
+    if (span_end <= span_begin) continue;
+    const EdgeId id = route.edges()[e];
+    const roadnet::RoadSegment& seg = route.network().edge(id);
+    double frac = (span_end - span_begin) / edge_len;
+    int depth = 0;
+    while (frac > 1e-12) {
+      const SimTime clock = now + elapsed;
+      const double full =
+          reference_segment_time(store, o, id, route.id(), clock)
+              .value_or(seg.length() /
+                        (seg.speed_limit() * o.fallback_speed_frac));
+      const double needed = frac * full;
+      const double to_boundary = store.slots().slot_end_time(clock) - clock;
+      if (needed <= to_boundary || full <= 0.0 || ++depth > 64) {
+        elapsed += needed;
+        break;
+      }
+      frac -= to_boundary / full;
+      elapsed += to_boundary;
+    }
+  }
+  return now + elapsed;
+}
+
+TEST(ArrivalPredictor, ResolvedResidualsMatchPerRecentLookups) {
+  // The irregular route's store has recents with a route-specific Th
+  // (route 0; route 1 on even edges), with only the cross-route mean
+  // (route 1 on odd edges) and with no baseline at all (edge 3).
+  IrregularRoute r;
+  const std::vector<SimTime> nows{
+      at_day_time(20, hms(7, 58)), at_day_time(20, hms(12)),
+      at_day_time(20, hms(18, 58, 45.0)), at_day_time(20, hms(23, 58))};
+  const TravelTimeStore store = r.store(DaySlots::paper_five_slots(), nows);
+  PredictorOptions same_route;
+  same_route.cross_route = false;
+  PredictorOptions few;
+  few.max_recent = 2;
+  std::size_t segments = 0, arrivals = 0;
+  for (const PredictorOptions& options :
+       {PredictorOptions{}, same_route, few}) {
+    const ArrivalPredictor predictor(store, options);
+    for (const SimTime now : nows) {
+      for (const EdgeId edge : r.route->edges())
+        for (const RouteId route : {RouteId(0), RouteId(1)})
+          for (const double dt : {0.0, 90.0, 1800.0}) {
+            const auto got =
+                predictor.predict_segment_time(edge, route, now + dt);
+            const auto want =
+                reference_segment_time(store, options, edge, route, now + dt);
+            ASSERT_EQ(got.has_value(), want.has_value());
+            if (!got.has_value()) continue;
+            ASSERT_EQ(bits(*got), bits(*want))
+                << "edge " << edge.value() << " route " << route.value()
+                << ": " << *got << " vs " << *want;
+            ++segments;
+          }
+      for (const double offset : r.offsets()) {
+        const auto all = predictor.predict_arrivals(*r.route, offset, now);
+        for (std::size_t s = 0; s < all.size(); ++s) {
+          const SimTime want =
+              reference_arrival(store, options, *r.route, offset, now, s);
+          ASSERT_EQ(bits(all[s]), bits(want))
+              << "offset " << offset << " stop " << s << ": " << all[s]
+              << " vs " << want;
+          ++arrivals;
+        }
+      }
+    }
+  }
+  EXPECT_GT(segments, 400u);
+  EXPECT_GT(arrivals, 4000u);
+}
+
 TEST(TravelTimeStore, ForEachRecentVisitsWhatRecentReturns) {
   IrregularRoute r;
   const std::vector<SimTime> nows{at_day_time(20, hms(9)),
@@ -429,14 +560,16 @@ TEST(TravelTimeStore, ForEachRecentVisitsWhatRecentReturns) {
           std::vector<TravelObservation> visited;
           store.for_each_recent(
               edge, now, window, max_count,
-              [&](const TravelObservation& o) { visited.push_back(o); });
+              [&](const TravelObservation& o, double) {
+                visited.push_back(o);
+              });
           EXPECT_EQ(visited, store.recent(edge, now, window, max_count));
           seen += visited.size();
         }
   EXPECT_GT(seen, 100u);
   std::size_t unknown = 0;
   store.for_each_recent(EdgeId(999), nows[0], 1e9, 8,
-                        [&](const TravelObservation&) { ++unknown; });
+                        [&](const TravelObservation&, double) { ++unknown; });
   EXPECT_EQ(unknown, 0u);
 }
 

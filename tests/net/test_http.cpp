@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "core/arrival_table.hpp"
 #include "net/json.hpp"
 #include "net/load_driver.hpp"
 #include "util/rng.hpp"
@@ -168,6 +170,52 @@ TEST(Json, RejectsMalformedInput) {
   // Nesting bomb bounces off the depth cap instead of the stack.
   std::string bomb(100, '[');
   EXPECT_FALSE(parse_json(bomb).has_value());
+  // Number text std::from_chars reads but RFC 8259 does not allow.
+  for (const char* bad :
+       {"inf", "-inf", "infinity", "-infinity", "nan", "-nan", "NaN", ".5",
+        "-.5", "01", "-01", "00", "1.", "1.e5", "1e", "1e+", "+1", "-",
+        "0x10", "1e999"}) {
+    err.clear();
+    EXPECT_FALSE(parse_json(bad, &err).has_value()) << bad;
+    EXPECT_FALSE(err.empty()) << bad;
+    const std::string in_array = std::string("[1,") + bad + "]";
+    EXPECT_FALSE(parse_json(in_array).has_value()) << in_array;
+  }
+  EXPECT_FALSE(
+      parse_json(R"({"scans":[{"trip":1,"t":5,"readings":[[3,-inf]]}]})")
+          .has_value());
+}
+
+TEST(Json, ParsesEveryNumberForm) {
+  const auto number = [](const char* text) {
+    const auto v = parse_json(text);
+    return v.has_value() ? v->as_number() : std::nullopt;
+  };
+  EXPECT_EQ(number("0"), 0.0);
+  EXPECT_EQ(number("-0"), -0.0);
+  EXPECT_EQ(number("17"), 17.0);
+  EXPECT_EQ(number("-2.5"), -2.5);
+  EXPECT_EQ(number("0.125"), 0.125);
+  EXPECT_EQ(number("1e3"), 1000.0);
+  EXPECT_EQ(number("1E+2"), 100.0);
+  EXPECT_EQ(number("-4.5e-1"), -0.45);
+  EXPECT_EQ(number(" 7 "), 7.0);
+  // json_num's shortest round-trip text parses back bit-exactly.
+  Rng rng(13);
+  std::vector<double> values{0.0, -0.0, 1e-300, -1e300, 5e-324, 0.1 + 0.2,
+                             464412.345678912,
+                             std::numeric_limits<double>::max()};
+  for (int i = 0; i < 2000; ++i)
+    values.push_back(rng.normal(0.0, 1.0) *
+                     std::pow(10.0, rng.uniform(-30.0, 30.0)));
+  for (const double v : values) {
+    const std::string text = core::json_num(v);
+    const auto back = number(text.c_str());
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(v))
+        << text;
+  }
 }
 
 TEST(ScanBatchCodec, RoundTripsScanTimesBitExactly) {
